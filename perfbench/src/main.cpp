@@ -9,7 +9,8 @@
 //                        calls, a 4-thread Monte-Carlo yield sweep, and
 //                        awesym_cli invocations
 //   serve_mixed_741      the awe_serve daemon under open-loop Poisson load
-//                        (rate ladder, mixed request kinds, reloads)
+//                        (rate ladder, mixed request kinds, reloads) and
+//                        one closed-loop client at light load
 //   design_loop_coupled  coupled lines: edit -> incremental rebuild ->
 //                        gradient + pole-sensitivity sweep
 // Every workload reports every end-to-end metric: the parts that are not
@@ -77,20 +78,27 @@ struct WorkloadDef {
 const WorkloadDef kWorkloads[] = {
     {"table1_741", false, {0.05, 0.15, 0.2, 0.2, 0.3, 0.1}, SetupKind::kInProcess},
     {"serve_mixed_741", false, {0.0, 0.04, 0.05, 0.08, 0.75, 0.08}, SetupKind::kDaemon},
-    {"design_loop_coupled", true, {0.1, 0.04, 0.06, 0.1, 0.25, 0.45}, SetupKind::kIncremental},
+    {"design_loop_coupled", true, {0.1, 0.04, 0.08, 0.1, 0.23, 0.45}, SetupKind::kIncremental},
 };
 
-/// Daemon load: the nominal rate is where serve_p50/p99 are read.
+/// Daemon load: the nominal rate is where serve.p50_ms/p99_ms are read.
 const double kLadder[] = {2000, 4000, 8000, 12000};
 constexpr double kNominalRate = 4000;
 constexpr double kP99LimitMs = 2.0;
 constexpr double kLagLimitMs = 1.0;  ///< generator p99 lateness above this invalidates a phase
 constexpr std::size_t kConnections = 4;
+/// Daemon latency at light load: one client with one request outstanding,
+/// on the same mix.  Its plan is laid out at kClosedPlanRate, so a reload
+/// comes every kClosedPlanRate requests.
+constexpr double kClosedPlanRate = 20000;
+constexpr std::size_t kEval16Pool = 1024;  ///< distinct point sets of closed-loop eval16 lines
 constexpr std::size_t kMcPoints = 1000;      ///< awesym_cli --mc
-constexpr std::size_t kSweepPoints = 65536;  ///< one yield sweep
+/// Points of one yield sweep, so that a sweep takes a few milliseconds.
+constexpr std::size_t kSweepPoints741 = 16384, kSweepPointsCoupled = 8192;
 constexpr std::size_t kGradPoints = 4096;    ///< one design-loop sweep
 constexpr double kSpread = 0.05;             ///< relative sigma of sampled values
-constexpr int kRounds = 10;                  ///< interleaved slices per run
+constexpr int kRounds = 30;                  ///< interleaved slices per run
+constexpr std::size_t kPointBlock = 64;      ///< evaluate() calls per timing block
 
 /// Every per-layer metric of the traced run, with its unit (BENCHMARK.json
 /// lists the same names).
@@ -121,7 +129,11 @@ const std::pair<const char*, const char*> kPerLayer[] = {
     {"table1.full_awe_us", "us"},        {"table1.symbolic_us", "us"},
     {"table1.eval_us", "us"},            {"table1.crossover_pts", "points"},
     {"trace.overhead_frac", "frac"},     {"host.effective_cpus", "cpus"},
-    {"host.nproc", "cpus"},
+    {"host.nproc", "cpus"},              {"serve.p50_ms", "ms"},
+    {"e2e.point_us_p50", "us"},          {"e2e.point_us_p99", "us"},
+    {"e2e.cli_ms_p50", "ms"},            {"e2e.edit_ms_p50", "ms"},
+    {"e2e.edit_ms_p95", "ms"},           {"serve.light_us_p50", "us"},
+    {"serve.light_us_p99", "us"},        {"e2e.setup_s_p50", "s"},
 };
 
 struct Ctx {
@@ -195,14 +207,6 @@ void record_sweep(Ctx& c, const sweep::SweepResult& r) {
   c.sweep_health.merge(r.health);
   c.attempted += r.num_points;
   c.failed += r.health.points_quarantined;
-}
-
-void report_latency(Ctx& c, const std::string& name, const std::vector<double>& v, double p,
-                    const std::string& unit, std::size_t samples = 0) {
-  if (samples == 0) samples = v.size();
-  c.e2e[name] = Metric{pct(v, p), unit, samples};
-  if (static_cast<double>(v.size()) * (1 - p / 100) < 10)
-    std::printf("note: %s has fewer than 10 samples beyond it (n=%zu)\n", name.c_str(), v.size());
 }
 
 // ------------------------------------------------------------------ checks
@@ -284,8 +288,9 @@ void setup_inprocess(Ctx& c, const Deck& d, double secs, bool incremental,
 }
 
 /// Closed loop of single-point evaluate() calls at seeded points.  Keeps
-/// a uniform sample (reservoir) of at most kMaxKept call times, so the
-/// benchmark's own memory does not grow with the host's speed.
+/// the median of every block of kPointBlock calls, and a uniform sample
+/// (reservoir) of at most kMaxKept call times, so the benchmark's own
+/// memory does not grow with the host's speed.
 class PointStream {
  public:
   static constexpr std::size_t kMaxKept = 200000;
@@ -309,6 +314,11 @@ class PointStream {
         ++c.failed;
       }
       const double t = secs_since(t0) * 1e6;
+      block_.push_back(t);
+      if (block_.size() == kPointBlock) {
+        block_us.push_back(median(block_));
+        block_.clear();
+      }
       if (us.size() < kMaxKept) {
         us.push_back(t);
       } else if (const std::size_t j = keep_.below(calls + 1); j < kMaxKept) {
@@ -320,12 +330,14 @@ class PointStream {
     if (!std::isfinite(sink_)) c.chk.expect(false, "non-finite dc gain in the point stream");
   }
   std::vector<double> us;  ///< call times (us), a uniform sample of all calls
+  std::vector<double> block_us;  ///< median call time of each block
   std::size_t calls = 0;
 
  private:
   const core::CompiledModel& m_;
   Rng keep_;
   std::vector<std::vector<double>> pts_;
+  std::vector<double> block_;
   std::size_t next_ = 0;
   double sink_ = 0;
 };
@@ -335,7 +347,12 @@ class PointStream {
 class YieldSweeps {
  public:
   YieldSweeps(const Deck& d, const core::CompiledModel& m, std::uint64_t seed)
-      : d_(d), m_(m), seed_(seed), pool_(4), dists_(dists_of(d.nominal)) {
+      : d_(d),
+        m_(m),
+        seed_(seed),
+        n_(d.name == "coupled" ? kSweepPointsCoupled : kSweepPoints741),
+        pool_(4),
+        dists_(dists_of(d.nominal)) {
     const auto nominal_pole = m.evaluate(d.nominal).dominant_pole();
     const double p0 = nominal_pole ? std::abs(*nominal_pole) : 1.0;
     so_.pool = &pool_;
@@ -353,16 +370,16 @@ class YieldSweeps {
       {
         Tracer::Scope op(c.tr, "op.sweep");
         Tracer::Scope s(c.tr, "engine.monte_carlo");
-        r = sweep::monte_carlo(m_, dists_, kSweepPoints, seed_ + rates.size(), so_);
+        r = sweep::monte_carlo(m_, dists_, n_, seed_ + rates.size(), so_);
       }
-      rates.push_back(static_cast<double>(kSweepPoints) / secs_since(t0));
+      rates.push_back(static_cast<double>(n_) / secs_since(t0));
       record_sweep(c, r);
-      c.chk.expect(r.ok_count + r.health.points_quarantined == kSweepPoints,
+      c.chk.expect(r.ok_count + r.health.points_quarantined == n_,
                    d_.name + ": yield sweep point accounting");
       // The pass flags of a few points, re-derived through scalar evaluate().
       bool same = true;
       for (std::size_t p = 0; p < 16; ++p) {
-        const auto x = point_of(r.points, d_.symbols.size(), kSweepPoints, p);
+        const auto x = point_of(r.points, d_.symbols.size(), n_, p);
         same = same && r.ok[p] && so_.pass_predicate(m_.evaluate(x)) == (r.pass[p] != 0);
       }
       c.chk.expect(same, d_.name + ": yield sweep pass flags differ from scalar evaluate()");
@@ -374,6 +391,7 @@ class YieldSweeps {
   const Deck& d_;
   const core::CompiledModel& m_;
   std::uint64_t seed_;
+  std::size_t n_;
   sweep::ThreadPool pool_;
   std::vector<sweep::Distribution> dists_;
   sweep::SweepOptions so_;
@@ -465,8 +483,10 @@ class DesignLoop {
       }
       if (c.trace) c.rebuild_s.push_back(std::chrono::duration<double>(t_mid - t0).count());
       edit_ms.push_back(secs_since(t0) * 1e3);
-      grad_s += secs_since(t_mid);
+      const double g = secs_since(t_mid);
+      grad_s += g;
       grad_pts += kGradPoints;
+      grad_rates.push_back(kGradPoints / g);
       record_sweep(c, last_);
     } while (Clock::now() < t_end);
   }
@@ -515,6 +535,7 @@ class DesignLoop {
   }
 
   std::vector<double> edit_ms;
+  std::vector<double> grad_rates;  ///< points/s of each gradient sweep
   double grad_pts = 0, grad_s = 0;
 
  private:
@@ -564,9 +585,10 @@ int stop_daemon(const Daemon& dm) {
   return wait_child(dm.pid);
 }
 
-std::string eval16_line(const Deck& d, std::uint64_t seed, std::uint64_t id) {
-  Rng rng(seed, id);
-  std::string s = "{\"op\":\"eval\",\"id\":" + std::to_string(id) + ",\"points\":[";
+/// The 16 seeded points of an explicit-point eval, as JSON arrays.
+std::string eval16_points(const Deck& d, std::uint64_t seed, std::uint64_t key) {
+  Rng rng(seed, key);
+  std::string s;
   for (int p = 0; p < 16; ++p) {
     s += p ? ",[" : "[";
     for (std::size_t i = 0; i < d.nominal.size(); ++i) {
@@ -575,7 +597,11 @@ std::string eval16_line(const Deck& d, std::uint64_t seed, std::uint64_t id) {
     }
     s += "]";
   }
-  return s + "]}\n";
+  return s;
+}
+
+std::string eval16_line(std::uint64_t id, const std::string& points) {
+  return "{\"op\":\"eval\",\"id\":" + std::to_string(id) + ",\"points\":[" + points + "]}\n";
 }
 
 /// Wire moments of explicit-point requests must be bit-equal to the
@@ -651,6 +677,8 @@ class ServeRun {
       }
       c.replay["serve.ping_us_p50"] = median(ping);
     }
+    for (std::size_t k = 0; k < kEval16Pool; ++k)
+      eval16_pool_.push_back(eval16_points(d_, c.seed * 6151ull, k));
     by_rate_.resize(std::size(kLadder));
     served_s_.assign(std::size(kLadder), 0.0);
     reload_due_s_.assign(std::size(kLadder), ServeMix{}.reload_period_s);
@@ -668,7 +696,11 @@ class ServeRun {
         c.chk.expect(stop_daemon(probe) == 0, "serve: daemon exit code");
       }
     }
-    phase_s_ = secs / (std::size(kLadder) + 0.5);
+    // The open-loop ladder gets two thirds of the slice on the daemon's
+    // own workload and one third elsewhere (its figures are per-layer
+    // metrics of the daemon's workload); the light-load client the rest.
+    const double ladder_share = focus_ ? 2.0 / 3 : 1.0 / 3;
+    phase_s_ = secs * ladder_share / (std::size(kLadder) + 0.5);
     const ServeMix mix;
     for (std::size_t r = 0; r < std::size(kLadder); ++r) {
       const double rate = kLadder[r];
@@ -682,7 +714,9 @@ class ServeRun {
       while (due < served) due += mix.reload_period_s;
       auto plan = plan_phase(rate, phase_s_, mix, first_reload, pseed, next_id_,
                              c.seed * 7919ull,
-                             [&](std::uint64_t id) { return eval16_line(d_, pseed, id); });
+                             [&](std::uint64_t id) {
+                               return eval16_line(id, eval16_points(d_, pseed, id));
+                             });
       next_id_ += plan.size();
       Clock::time_point start;
       auto out = run_phase(dm_.sock, plan, kConnections, 2.0, 7, start);
@@ -690,6 +724,13 @@ class ServeRun {
       if (rate == kNominalRate)
         nominal_p50_ms_.push_back(
             summarize_phase(rate, phase_s_, plan, out, kP99LimitMs, kLagLimitMs).p50_ms);
+      // Only the traced replay reads request lines again (the nominal
+      // rate's); dropping the rest keeps the benchmark's own memory out of
+      // peak_rss_mb.
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        std::string().swap(out[i].line);
+        if (!c.trace || rate != kNominalRate) std::string().swap(plan[i].line);
+      }
       auto& pooled = by_rate_[r];
       pooled.plan.insert(pooled.plan.end(), std::make_move_iterator(plan.begin()),
                          std::make_move_iterator(plan.end()));
@@ -697,6 +738,31 @@ class ServeRun {
                         std::make_move_iterator(out.end()));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+    light_load(c, secs * (1 - ladder_share));
+  }
+
+  /// Closed loop on the same mix, one request at a time: the round trip
+  /// of each answered request, by kind.
+  void light_load(Ctx& c, double secs) {
+    const ServeMix mix;
+    const std::uint64_t pseed = c.seed * 1000003ull + next_id_;
+    // Laid out for more requests than one client gets answered in `secs`.
+    const auto plan = plan_phase(kClosedPlanRate, std::max(secs, 0.1), mix,
+                                 mix.reload_period_s / 2, pseed, next_id_, c.seed * 7919ull,
+                                 [&](std::uint64_t id) {
+                                   return eval16_line(id, eval16_pool_[id % kEval16Pool]);
+                                 });
+    next_id_ += plan.size();
+    const ClosedResult r = run_closed(dm_.sock, plan, secs, 7);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      if (r.out[i].status != RequestOutcome::kOk || plan[i].kind == ReqKind::kReload) continue;
+      const double us = static_cast<double>(r.out[i].recv_ns - r.out[i].sent_ns) * 1e-3;
+      light_us_.push_back(us);
+      light_by_kind_[static_cast<std::size_t>(plan[i].kind)].push_back(us);
+    }
+    c.attempted += r.sent;
+    c.failed += r.failed;
+    verify_wire(c, model_, plan, r.out, verify_closed_left_);
   }
 
   void finish(Ctx& c) {
@@ -726,6 +792,13 @@ class ServeRun {
       }
       phases.push_back(ph);
     }
+    std::printf("serve light load (1 client, 1 outstanding): round trip of the mix at the fast "
+                "end %.1f us (eval16 %.1f, mc256 %.1f, status %.1f); pooled p50 %.1f us, p99 "
+                "%.1f us (n=%zu)\n",
+                light_us(), fast_time(light_by_kind_[0]), fast_time(light_by_kind_[1]),
+                fast_time(light_by_kind_[2]), median(light_us_), pct(light_us_, 99),
+                light_us_.size());
+    c.chk.expect(!light_us_.empty(), "serve: the light-load client got no answers");
     max_rps = max_rate_meeting_limit(phases);
     c.replay["serve.max_rps"] = max_rps;
     std::printf("serve: nominal %.0f req/s p99 %.3f ms; highest rate meeting p99 <= %.0f ms: "
@@ -748,6 +821,23 @@ class ServeRun {
   /// Median over the steps of each step's p50 at the nominal rate: a
   /// stretch of host contention that spans one step moves it little.
   double p50_ms() const { return median(nominal_p50_ms_); }
+  /// Light-load round trip of the mix: each kind's fast end, weighted by
+  /// the kind's share of the mix (a pooled figure would follow how many
+  /// cheap status requests the fast end happens to hold).
+  double light_us() const {
+    const ServeMix mix;
+    const double share[] = {mix.eval16, mix.mc256, mix.status};
+    double sum = 0, weight = 0;
+    for (std::size_t k = 0; k < std::size(share); ++k) {
+      if (light_by_kind_[k].empty()) continue;
+      sum += share[k] * fast_time(light_by_kind_[k]);
+      weight += share[k];
+    }
+    return weight > 0 ? sum / weight : 0;
+  }
+  double light_us_p50() const { return median(light_us_); }
+  std::size_t light_count() const { return light_us_.size(); }
+  double light_us_p99() const { return pct(light_us_, 99); }
 
   std::vector<double> setup_s;
   PhaseResult nominal;
@@ -844,8 +934,11 @@ class ServeRun {
   std::vector<Pooled> by_rate_;
   std::uint64_t next_id_ = 1;
   double phase_s_ = 0;
-  std::size_t verify_left_ = 400;
+  std::size_t verify_left_ = 400, verify_closed_left_ = 200;
   std::vector<double> nominal_p50_ms_;
+  std::vector<double> light_us_;  ///< light-load round trips
+  std::vector<double> light_by_kind_[3];  ///< the same, by ReqKind (eval16, mc256, status)
+  std::vector<std::string> eval16_pool_;
   std::vector<double> served_s_;     ///< phase time so far, per rate
   std::vector<double> reload_due_s_;  ///< next reload on that time axis, per rate
 };
@@ -1069,6 +1162,7 @@ std::map<std::string, double> ledger(Ctx& c) {
 // ------------------------------------------------------------------ main
 
 int run(int argc, char** argv) {
+  const auto t_start = Clock::now();
   Ctx c;
   std::string workload;
   for (int i = 1; i + 1 < argc; i += 2) {
@@ -1141,8 +1235,15 @@ int run(int argc, char** argv) {
   YieldSweeps sweeps(d, fwd, c.seed * 31 + 7);
   DesignLoop design(c, d, rng);
   ServeRun serve(c, serve_focus);
+  // Each round shares out what is left of the run, so a part that runs
+  // over its slice (a daemon phase draining its retries) shortens the
+  // later rounds instead of the run.
+  const auto t_measure = Clock::now();
+  const auto t_measure_end = t_measure + std::chrono::duration<double>(c.seconds);
   for (int round = 0; round < kRounds; ++round) {
-    const auto slice = [&](double share) { return c.seconds * share / kRounds; };
+    const double left =
+        std::max(0.0, std::chrono::duration<double>(t_measure_end - Clock::now()).count());
+    const auto slice = [&](double share) { return left * share / (kRounds - round); };
     if (!serve_focus)
       setup_inprocess(c, d, slice(sh.setup), c.wl->setup == SetupKind::kIncremental, setup_s);
     // Traced, the point stream is capped: two spans per call add up fast.
@@ -1152,22 +1253,44 @@ int run(int argc, char** argv) {
     design.step(c, slice(sh.edit));
     serve.step(c, slice(sh.serve));
   }
+  const double measured_s = secs_since(t_measure);
   design.finish(c);
   serve.finish(c);
   if (serve_focus) setup_s = serve.setup_s;
 
   auto& E = c.e2e;
   const auto& point_us = point.us;
-  E["setup_s"] = Metric{median(setup_s), "s", setup_s.size()};
-  report_latency(c, "point_us_p50", point_us, 50, "us", point.calls);
-  report_latency(c, "point_us_p99", point_us, 99, "us", point.calls);
-  E["sweep_pts_per_s"] = Metric{median(sweeps.rates), "1/s", sweeps.rates.size()};
-  report_latency(c, "cli_ms_p50", cli_ms, 50, "ms");
-  E["serve_p50_ms"] =
-      Metric{serve.p50_ms(), "ms", serve.nominal.sent + serve.nominal.unanswered};
-  report_latency(c, "edit_ms_p50", design.edit_ms, 50, "ms");
-  report_latency(c, "edit_ms_p95", design.edit_ms, 95, "ms");
-  E["grad_pts_per_s"] = Metric{design.grad_pts / design.grad_s, "1/s", design.edit_ms.size()};
+  // Gated timings, set-up included: the fast end of short blocks
+  // (bench.hpp).  The median of the set-ups moved by a fifth between two
+  // batches of runs of the same code (see NOTES.md).
+  E["setup_s"] = Metric{fast_time(setup_s), "s", setup_s.size()};
+  E["point_us"] = Metric{fast_time(point.block_us), "us", point.block_us.size()};
+  E["sweep_pts_per_s"] =
+      Metric{fast_rate(sweeps.rates, kFastPctParallel), "1/s", sweeps.rates.size()};
+  E["cli_ms"] = Metric{fast_time(cli_ms), "ms", cli_ms.size()};
+  E["serve_us"] = Metric{serve.light_us(), "us", serve.light_count()};
+  E["edit_ms"] = Metric{fast_time(design.edit_ms), "ms", design.edit_ms.size()};
+  E["grad_pts_per_s"] = Metric{fast_rate(design.grad_rates), "1/s", design.grad_rates.size()};
+  // Medians and tails pooled over the run, and the open-loop latency, are
+  // reported, not gated: on a shared host they follow the host's state
+  // more than the code (see NOTES.md).
+  auto& R = c.replay;
+  R["e2e.point_us_p50"] = median(point_us);
+  R["e2e.point_us_p99"] = pct(point_us, 99);
+  R["e2e.cli_ms_p50"] = median(cli_ms);
+  R["e2e.edit_ms_p50"] = median(design.edit_ms);
+  R["e2e.edit_ms_p95"] = pct(design.edit_ms, 95);
+  R["e2e.setup_s_p50"] = median(setup_s);
+  R["serve.p50_ms"] = serve.p50_ms();
+  R["serve.light_us_p50"] = serve.light_us_p50();
+  R["serve.light_us_p99"] = serve.light_us_p99();
+  std::printf("pooled over the run (not gated): setup_s p50 %.4g, point_us p50 %.4g p99 %.4g "
+              "(n=%zu), cli_ms p50 %.4g (n=%zu), edit_ms p50 %.4g p95 %.4g (n=%zu), sweep median "
+              "%.4g pts/s, grad %.4g pts/s, serve_p50_ms %.4g at %.0f req/s (n=%zu)\n",
+              R["e2e.setup_s_p50"], R["e2e.point_us_p50"], R["e2e.point_us_p99"], point.calls,
+              R["e2e.cli_ms_p50"], cli_ms.size(), R["e2e.edit_ms_p50"], R["e2e.edit_ms_p95"],
+              design.edit_ms.size(), median(sweeps.rates), design.grad_pts / design.grad_s,
+              R["serve.p50_ms"], kNominalRate, serve.nominal.sent + serve.nominal.unanswered);
   E["ok_frac"] = Metric{
       1.0 - static_cast<double>(c.failed) / static_cast<double>(c.attempted), "frac", c.attempted};
   E["peak_rss_mb"] = Metric{serve_focus ? serve.peak_rss : peak_rss_mb(0), "MiB"};
@@ -1175,6 +1298,9 @@ int run(int argc, char** argv) {
   std::printf("fail_frac %.6g (%zu failed of %zu attempted)\n",
               static_cast<double>(c.failed) / static_cast<double>(c.attempted), c.failed,
               c.attempted);
+  std::printf("harness: %.1f s before measuring, %.1f s measured, %.1f s in all so far\n",
+              std::chrono::duration<double>(t_measure - t_start).count(), measured_s,
+              secs_since(t_start));
   std::printf("edits %zu, cli runs %zu, point calls %zu, yield sweeps %zu\n",
               design.edit_ms.size(), cli_ms.size(), point.calls, sweeps.rates.size());
 
@@ -1182,7 +1308,6 @@ int run(int argc, char** argv) {
   if (!c.trace) {
     out = c.e2e;
   } else {
-    auto& R = c.replay;
     const double pts = static_cast<double>(c.sweep_health.points_total);
     R["engine.degraded_frac"] = pts ? static_cast<double>(c.sweep_health.points_degraded) / pts : 0;
     R["engine.quarantined_frac"] = pts ? static_cast<double>(c.sweep_health.points_quarantined) / pts : 0;

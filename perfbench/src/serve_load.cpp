@@ -176,6 +176,56 @@ std::vector<RequestOutcome> run_phase(const std::string& sock,
   return out;
 }
 
+ClosedResult run_closed(const std::string& sock, const std::vector<PlannedRequest>& plan,
+                        double seconds, std::uint64_t keep_every) {
+  ClosedResult r;
+  r.out.resize(plan.size());
+  Conn c;
+  c.fd = awe::serve::net::connect_unix(sock);
+  const auto start = Clock::now();
+  const auto end_ns = static_cast<std::int64_t>(seconds * 1e9);
+  char chunk[65536];
+  for (std::size_t i = 0; i < plan.size() && !c.broken; ++i) {
+    const std::int64_t sent_ns = ns_since(start);
+    if (sent_ns >= end_ns) break;
+    RequestOutcome& o = r.out[i];
+    o.sent_ns = sent_ns;
+    o.attempts = 1;
+    ++r.sent;
+    c.outbox = plan[i].line;
+    // Busy-poll for the answer; one still missing after 2 s counts as
+    // failed, and a late answer to it is skipped by its id.
+    while (o.status == RequestOutcome::kPending && !c.broken &&
+           ns_since(start) < sent_ns + 2'000'000'000) {
+      flush(c);
+      const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+      if (n == 0) c.broken = true;
+      if (n <= 0) continue;
+      const std::int64_t recv_ns = ns_since(start);
+      c.inbox.append(chunk, static_cast<std::size_t>(n));
+      std::size_t begin = 0;
+      for (std::size_t nl; (nl = c.inbox.find('\n', begin)) != std::string::npos; begin = nl + 1) {
+        const std::string line = c.inbox.substr(begin, nl - begin);
+        std::uint64_t id = 0;
+        bool has_id = false;
+        decltype(RequestOutcome::status) st{};
+        std::int64_t retry_after_ms = 0;
+        classify(line, &id, &has_id, &st, &retry_after_ms);
+        if (!has_id || id != plan[i].id) continue;
+        o.status = st;
+        o.recv_ns = recv_ns;
+        o.bytes = line.size() + 1;
+        if (keep_every && id % keep_every == 0) o.line = line;
+      }
+      c.inbox.erase(0, begin);
+    }
+    if (o.status == RequestOutcome::kOk) ++r.ok;
+  }
+  ::close(c.fd);
+  r.failed = r.sent - r.ok;
+  return r;
+}
+
 PhaseResult summarize_phase(double rate, double seconds,
                             const std::vector<PlannedRequest>& plan,
                             const std::vector<RequestOutcome>& out, double p99_limit_ms,

@@ -82,6 +82,21 @@ PhaseResult summarize_phase(double rate, double seconds,
                             const std::vector<RequestOutcome>& out, double p99_limit_ms,
                             double lag_limit_ms);
 
+/// What a closed-loop run measured.
+struct ClosedResult {
+  std::vector<RequestOutcome> out;  ///< indexed like the plan; unsent stay kPending
+  std::size_t sent = 0, ok = 0, failed = 0;  ///< failed: shed, errored or unanswered
+};
+
+/// Closed loop on one connection to the unix socket `sock`, one request
+/// outstanding: sends the next request of `plan` (its scheduled time
+/// ignored) as soon as the previous one is answered, for `seconds`.  Like
+/// run_phase, the client busy-polls, so its own wake-up is not in the
+/// round trip.  Requests whose id is a multiple of `keep_every` keep their
+/// response.
+ClosedResult run_closed(const std::string& sock, const std::vector<PlannedRequest>& plan,
+                        double seconds, std::uint64_t keep_every);
+
 /// Closed-loop request on connection `fd`; returns the response line
 /// (empty on transport failure) and its round trip in seconds.
 std::string round_trip(int fd, const std::string& line, double* secs);
